@@ -9,7 +9,7 @@ The runs go through the graceful-degradation stack in
 :mod:`repro.core.trainer` rather than a hand-rolled proportional filter:
 
 * a lost upload is retried with backoff (first to the same PS, then to a
-  freshly sampled alive one) under the ``FaultConfig`` retry budget;
+  freshly sampled alive one) under the ``RetryPolicy`` retry budget;
 * a client that still receives fewer than P global models recomputes the
   trim count against the reduced quorum (``degraded_trim_count``) and
   falls back to its previous feasible model only when ``q <= 2B``.

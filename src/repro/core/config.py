@@ -53,33 +53,16 @@ class FaultConfig:
         disseminations are dropped as deadline misses), and any traffic
         still queued when the round closes is expired and counted under
         ``cleared_total``.
-    max_upload_retries:
-        Retry budget per upload. The first retry re-sends to the same PS
-        (the loss may be transient); later retries re-sample a uniformly
-        random alive PS, preserving the sparse strategy's uniform-choice
-        property. Retries are counted in ``TrafficStats.retries_by_tag``
-        so the ``O(K)`` accounting stays honest.
-    retry_backoff_s:
-        Simulated backoff before the first retry.
-    backoff_factor:
-        Multiplier applied to the backoff on each successive retry
-        (exponential backoff).
+
+    Failed sends retry per :attr:`FedMSConfig.retry_policy`.
     """
 
     round_deadline_s: float = 1.0
-    max_upload_retries: int = 2
-    retry_backoff_s: float = 0.05
-    backoff_factor: float = 2.0
 
     def __post_init__(self) -> None:
         require(self.round_deadline_s > 0,
                 f"round_deadline_s must be positive, got "
                 f"{self.round_deadline_s}")
-        check_nonnegative_int(self.max_upload_retries, "max_upload_retries")
-        require(self.retry_backoff_s >= 0,
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s}")
-        require(self.backoff_factor >= 1.0,
-                f"backoff_factor must be >= 1, got {self.backoff_factor}")
 
 
 @dataclass
@@ -178,17 +161,14 @@ class FedMSConfig:
         joining late or leaving mid-run, the fraction of leavers that
         rejoin, and how many rounds they stay away.
     faults:
-        Graceful-degradation knobs (round deadline, upload retry budget
-        and backoff); defaults are used when ``None``. The fault *events*
-        themselves live in a
+        Graceful-degradation knobs (the round deadline); defaults are used
+        when ``None``. The fault *events* themselves live in a
         :class:`~repro.simulation.faults.FaultPlan` passed to the trainer.
     retry_policy:
-        The :class:`~repro.core.upload.RetryPolicy` both
-        :class:`~repro.core.trainer.FedMSTrainer` and
-        :class:`~repro.population.PopulationTrainer` consume for failed
-        sends. ``None`` (default) derives one from ``faults``; supplying
-        retry knobs through ``faults`` *and* a divergent ``retry_policy``
-        is deprecated — the explicit policy wins.
+        The :class:`~repro.core.upload.RetryPolicy` every trainer consumes
+        for failed sends (:func:`repro.core.wire.send_with_retry`).
+        ``None`` (default) means ``RetryPolicy()``: 2 retries, 0.05 s
+        backoff doubling per retry.
     aggregation_mode:
         ``"barrier"`` (paper default — every round waits for all alive
         PSs) or ``"deadline"`` — aggregate whatever arrived when the
@@ -317,18 +297,6 @@ class FedMSConfig:
                 or isinstance(self.retry_policy, RetryPolicy),
                 f"retry_policy must be a RetryPolicy, got "
                 f"{type(self.retry_policy)}")
-        if (self.retry_policy is not None and self.faults is not None
-                and RetryPolicy.from_config(self.faults)
-                != self.retry_policy):
-            import warnings
-
-            warnings.warn(
-                "passing divergent retry knobs through both "
-                "FedMSConfig.retry_policy and FaultConfig is deprecated; "
-                "the explicit retry_policy wins — drop the FaultConfig "
-                "retry fields",
-                DeprecationWarning, stacklevel=3,
-            )
         require(self.aggregation_mode in ("barrier", "deadline"),
                 f"aggregation_mode must be 'barrier' or 'deadline', got "
                 f"{self.aggregation_mode!r}")
@@ -432,15 +400,8 @@ class FedMSConfig:
 
     @property
     def resolved_retry_policy(self) -> "RetryPolicy":
-        """The retry policy both trainers consume.
-
-        The explicit ``retry_policy`` wins; otherwise one is derived from
-        the (possibly default) ``faults`` knobs, preserving the legacy
-        FaultConfig route.
-        """
-        if self.retry_policy is not None:
-            return self.retry_policy
-        return RetryPolicy.from_config(self.resolved_faults)
+        """The retry policy in effect (defaults when unset)."""
+        return self.retry_policy or RetryPolicy()
 
     @property
     def deadline_mode(self) -> bool:

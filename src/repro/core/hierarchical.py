@@ -20,21 +20,25 @@ Round structure:
 5. each PS disseminates its combined global model to its own group only —
    a Byzantine PS disseminates whatever it wants.
 
-Wire-level extensions shared with the other trainers (docs/upload.md,
-docs/faults.md): ``config.upload_codecs`` compresses all three legs
-(upload, inter-server exchange, dissemination) as deltas against a
-trainer-wide reference model with per-sender error feedback; sends retry
-per ``config.resolved_retry_policy``; and ``aggregation_mode="deadline"``
+Wire-level extensions shared with the other trainers through
+:mod:`repro.core.wire` (docs/upload.md, docs/faults.md):
+``config.upload_codecs`` compresses all three legs (upload, inter-server
+exchange, dissemination) as deltas against a trainer-wide reference model
+with per-sender error feedback; sends retry per
+``config.resolved_retry_policy``; and ``aggregation_mode="deadline"``
 times the inter-server exchange with a
 :class:`~repro.simulation.clock.VirtualClock` — a PS whose contribution
 misses the deadline is excluded from every peer's combine this round and
-its model is buffered for bounded-staleness admission next round.
+its model is buffered for bounded-staleness admission next round. A PS
+combines only the exchange messages that were delivered to it (plus its
+own aggregate): a contribution lost on the wire after every retry is
+excluded, exactly like a late one.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -46,17 +50,19 @@ from ..data.datasets import ArrayDataset
 from ..nn.module import Module
 from ..nn.schedules import LRSchedule
 from ..nn.serialization import to_vector
-from ..simulation.clock import VirtualClock, split_by_deadline
 from ..simulation.network import Message, Network, NodeId
 from .client import Client
-from .codecs import (
-    EncodedUpdate,
-    broadcast_variant,
-    make_codec_pipeline,
-)
 from .config import FedMSConfig
 from .history import RoundRecord, TrainingHistory
 from .server import ByzantineParameterServer, ParameterServer
+from .wire import (
+    DeltaCodec,
+    SendCounters,
+    StaleBuffer,
+    make_round_clock,
+    send_with_retry,
+    time_leg,
+)
 
 __all__ = ["HierarchicalTrainer"]
 
@@ -179,99 +185,24 @@ class HierarchicalTrainer:
         # Virtual timing of the inter-server exchange (the only stage
         # with cross-PS fan-in here; group uploads and dissemination are
         # intra-group). Barrier mode just measures; deadline mode excludes
-        # the contributions that missed the deadline.
-        self.clock = VirtualClock(
-            config.seed,
-            straggler_rate=config.straggler_rate,
-            straggler_factor=config.straggler_factor,
-        )
-        self._deadline_s: Optional[float] = None
-        if config.deadline_mode:
-            self._deadline_s = (
-                config.deadline_s if config.deadline_s is not None
-                else self.clock.deadline_for_quantile(config.deadline_quantile)
-            )
-        # PS id -> (origin round, dense exchange model) for contributions
-        # that missed a deadline, held for bounded-staleness admission.
-        self._late_exchanges: Dict[int, Tuple[int, np.ndarray]] = {}
+        # the contributions that missed the deadline, buffering them per
+        # PS for bounded-staleness admission.
+        self.clock, self._deadline_s = make_round_clock(config)
+        self._late_exchanges = StaleBuffer()
 
         # Codecs on all three legs. The shared reference is trainer-wide:
         # it starts at the initial model every party holds and advances to
         # the mean of the PSs' combined global models each round — the
         # natural "posted" model all groups track up to inter-server
-        # disagreement. Error-feedback residuals are per sender and only
-        # advance on delivered sends; per-receiver encodes (a Byzantine
-        # PS's client-dependent dissemination) carry no residual.
-        self.codec = make_codec_pipeline(config.resolved_upload_codecs)
-        self.broadcast_codec = broadcast_variant(self.codec)
-        self._codec_active = not self.codec.is_identity
-        self._reference: Optional[np.ndarray] = (
-            np.array(initial_vector) if self._codec_active else None
-        )
-        self._upload_residuals: Dict[int, np.ndarray] = {}
-        self._exchange_residuals: Dict[int, np.ndarray] = {}
-        self._dissemination_residuals: Dict[int, np.ndarray] = {}
+        # disagreement. Error-feedback residuals are per sender: upload
+        # residuals advance only on delivered sends, and a per-receiver
+        # encode (a Byzantine PS's client-dependent dissemination) carries
+        # none.
+        self.codec = DeltaCodec(config.resolved_upload_codecs,
+                                initial_vector)
 
         self.history = TrainingHistory()
         self._round_index = 0
-
-    # -- wire helpers --------------------------------------------------------
-
-    def _send_with_retry(self, message: Message,
-                         counters: Dict[str, float]) -> bool:
-        """Send to the fixed recipient, retrying per the policy.
-
-        Group membership and the all-to-all exchange are static, so a
-        retry re-offers the identical message after backoff. Dropped
-        attempts are charged to the message's tag in ``TrafficStats``.
-        """
-        if self.network.send(message):
-            return True
-        policy = self.retry_policy
-        for attempt in range(1, policy.max_retries + 1):
-            self.network.stats.record_retry(message.tag)
-            counters["retries"] += 1
-            counters["backoff_s"] += policy.backoff_s(attempt)
-            if self.network.send(message):
-                return True
-        counters["failures"] += 1
-        return False
-
-    def _encode_delta(self, pipeline, vector: np.ndarray, *,
-                      residuals: Optional[Dict[int, np.ndarray]] = None,
-                      residual_key: Optional[int] = None,
-                      salt: Optional[int] = None) -> object:
-        """Encode ``vector`` as a delta against the shared reference.
-
-        With ``residuals``/``residual_key`` the sender's accumulated
-        error feedback is folded in and advanced immediately — callers on
-        lossy paths must instead pass no residual dict and manage adoption
-        themselves (here all hierarchical legs deliver unless a custom
-        network injects drops, in which case the truncation loss is the
-        documented trade-off).
-        """
-        if not self._codec_active:
-            return vector
-        assert self._reference is not None
-        delta = vector - self._reference
-        if residuals is not None and residual_key is not None:
-            residual = residuals.get(residual_key)
-            if residual is not None:
-                delta = delta + residual
-        encoded = (pipeline.encode(delta, salt=salt) if salt is not None
-                   else pipeline.encode(delta))
-        if residuals is not None and residual_key is not None:
-            residuals[residual_key] = delta - encoded.decode()
-        return encoded
-
-    def _decode_payload(self, payload: object) -> np.ndarray:
-        """Dense vector a receiver reconstructs from a wire payload."""
-        if isinstance(payload, EncodedUpdate):
-            assert self._reference is not None
-            return self._reference + payload.decode()
-        return payload  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
 
     def run_round(self, *, evaluate: bool = True) -> RoundRecord:
         """One grouped round: train, group-aggregate, exchange, disseminate."""
@@ -279,26 +210,22 @@ class HierarchicalTrainer:
         t = self._round_index
         messages_before = self.network.stats.messages_by_tag.get("upload", 0)
         bytes_before = self.network.stats.bytes_by_tag.get("upload", 0)
-        counters: Dict[str, float] = {
-            "retries": 0, "failures": 0, "backoff_s": 0.0,
-        }
+        counters = SendCounters()
+        codec = self.codec
 
         # 1+2: local training, upload to the fixed group PS.
         for client, group in zip(self.clients, self.group_of_client):
             vector = client.local_train(t, config.local_steps)
-            payload = self._encode_delta(
-                self.codec, vector,
-                residuals=self._upload_residuals,
-                residual_key=client.client_id,
-            )
-            self._send_with_retry(Message(
+            payload, residual = codec.encode(vector, client.client_id)
+            if send_with_retry(self.network, Message(
                 NodeId.client(client.client_id), NodeId.server(group),
                 payload, tag="upload", round_index=t,
-            ), counters)
+            ), self.retry_policy, counters):
+                codec.adopt("upload", client.client_id, residual)
 
         # 3: per-group aggregation (honest on every PS).
         for server in self.servers:
-            uploads = [self._decode_payload(m.payload) for m in
+            uploads = [codec.decode(m.payload) for m in
                        self.network.receive(NodeId.server(server.server_id))]
             server.aggregate(uploads)
         all_aggregates = np.stack(
@@ -307,7 +234,7 @@ class HierarchicalTrainer:
 
         # 4: inter-server exchange. What PS j *sends* to peers is its
         # dissemination output (tampered on Byzantine PSs); each benign PS
-        # combines the contributions that reached it (its own true
+        # combines the contributions delivered to it (its own true
         # aggregate always included — a PS is never late to itself).
         outgoing = [
             server.disseminate(round_index=t,
@@ -315,74 +242,49 @@ class HierarchicalTrainer:
             for server in self.servers
         ]
         num_servers = config.num_servers
-        arrivals = self.clock.arrivals(t, "inter_server", range(num_servers))
-        late_ids: "frozenset[int]" = frozenset()
-        late_admitted = 0
-        if self._deadline_s is not None:
-            _, late = split_by_deadline(arrivals, self._deadline_s)
-            late_ids = frozenset(late)
-        stage_s = self.clock.stage_seconds(arrivals,
-                                           deadline_s=self._deadline_s)
+        late_ids, stage_s = time_leg(self.clock, t, "inter_server",
+                                     range(num_servers), self._deadline_s)
+        late = frozenset(late_ids)
         # Bounded-staleness admission: a PS late *again* this round is
         # represented by its buffered previous model (the message finally
         # arriving); an on-time PS supersedes and drops its stale buffer.
-        admitted_stale: Dict[int, np.ndarray] = {}
-        for sid in sorted(self._late_exchanges):
-            origin, stale_vector = self._late_exchanges[sid]
-            del self._late_exchanges[sid]
-            if t - origin > config.max_staleness:
-                continue
-            if sid in late_ids:
-                admitted_stale[sid] = stale_vector
+        admitted_stale = self._late_exchanges.take_admissible(
+            t, config.max_staleness, late
+        )
         for sid in late_ids:
-            self._late_exchanges[sid] = (t, outgoing[sid])
-        late_admitted = len(admitted_stale)
+            self._late_exchanges.put(sid, t, outgoing[sid])
         # One encode per sender per round (the exchange is a broadcast of
         # the same model to every peer): residual-fed for fresh sends,
-        # residual-free for stale re-sends. Receivers use the decoded
-        # round-trip so the combine sees exactly what the wire carried.
-        exchange_payloads: Dict[int, object] = {}
-        exchange_vectors: Dict[int, np.ndarray] = {}
+        # residual-free for stale re-sends.
+        exchange_payloads: Dict[int, object] = {
+            sid: codec.encode_broadcast(admitted_stale[sid], t)
+            for sid in admitted_stale
+        }
         for sid in range(num_servers):
-            if sid in late_ids:
-                if sid in admitted_stale:
-                    payload = self._encode_delta(
-                        self.broadcast_codec, admitted_stale[sid], salt=t,
-                    )
-                    exchange_payloads[sid] = payload
-                    exchange_vectors[sid] = self._decode_payload(payload)
-                continue
-            payload = self._encode_delta(
-                self.broadcast_codec, outgoing[sid],
-                residuals=self._exchange_residuals, residual_key=sid,
-                salt=t,
-            )
-            exchange_payloads[sid] = payload
-            exchange_vectors[sid] = self._decode_payload(payload)
+            if sid not in late:
+                exchange_payloads[sid] = codec.encode_broadcast(
+                    outgoing[sid], t, sid, table="exchange"
+                )
         global_models: List[np.ndarray] = []
         for server in self.servers:
-            contributions = [
-                exchange_vectors[peer.server_id]
-                if peer.server_id != server.server_id
-                else server.current_aggregate
-                for peer in self.servers
-                if peer.server_id == server.server_id
-                or peer.server_id in exchange_vectors
-            ]
-            global_models.append(self.inter_server_rule(np.stack(contributions)))
             # Inter-server traffic: one message per contributing peer.
-            for peer in self.servers:
-                if peer.server_id == server.server_id:
+            for peer in sorted(exchange_payloads):
+                if peer == server.server_id:
                     continue
-                if peer.server_id not in exchange_payloads:
-                    continue
-                self._send_with_retry(Message(
-                    NodeId.server(peer.server_id),
-                    NodeId.server(server.server_id),
-                    exchange_payloads[peer.server_id],
+                send_with_retry(self.network, Message(
+                    NodeId.server(peer), NodeId.server(server.server_id),
+                    exchange_payloads[peer],
                     tag="inter_server", round_index=t,
-                ), counters)
-                self.network.receive(NodeId.server(server.server_id))
+                ), self.retry_policy, counters)
+            # Receivers combine exactly what the wire delivered, decoded.
+            delivered = {
+                m.sender.index: codec.decode(m.payload)
+                for m in self.network.receive(NodeId.server(server.server_id))
+            }
+            delivered[server.server_id] = server.current_aggregate
+            global_models.append(self.inter_server_rule(
+                np.stack([delivered[sid] for sid in sorted(delivered)])
+            ))
 
         # 5: group dissemination — Byzantine PSs ignore the exchange and
         # send their tampered model; clients have no second opinion.
@@ -392,15 +294,13 @@ class HierarchicalTrainer:
         # Benign groups broadcast one model to all members: encode once
         # per group with the PS's dissemination residual. A Byzantine
         # PS's output is client-dependent, so it is encoded per receiver
-        # without residual (a per-receiver encode must not advance one).
-        group_payloads: Dict[int, object] = {}
-        for group, server in enumerate(self.servers):
-            if not server.is_byzantine:
-                group_payloads[group] = self._encode_delta(
-                    self.broadcast_codec, global_models[group],
-                    residuals=self._dissemination_residuals,
-                    residual_key=group, salt=t,
-                )
+        # without residual.
+        group_payloads: Dict[int, object] = {
+            group: codec.encode_broadcast(global_models[group], t, group,
+                                          table="dissemination")
+            for group, server in enumerate(self.servers)
+            if not server.is_byzantine
+        }
         for client, group in zip(self.clients, self.group_of_client):
             server = self.servers[group]
             if server.is_byzantine:
@@ -408,25 +308,22 @@ class HierarchicalTrainer:
                     round_index=t, client_id=client.client_id,
                     all_server_aggregates=all_aggregates,
                 )
-                payload = self._encode_delta(self.broadcast_codec, model,
-                                             salt=t)
+                payload = codec.encode_broadcast(model, t)
             else:
                 payload = group_payloads[group]
-            self._send_with_retry(Message(
+            send_with_retry(self.network, Message(
                 NodeId.server(group), NodeId.client(client.client_id),
                 payload, tag="dissemination", round_index=t,
-            ), counters)
+            ), self.retry_policy, counters)
             received = self.network.receive(NodeId.client(client.client_id))
             if received:
-                client.set_model_vector(
-                    self._decode_payload(received[-1].payload)
-                )
+                client.set_model_vector(codec.decode(received[-1].payload))
                 client.optimizer.reset_state()
 
-        if self._codec_active:
-            # Next round's shared reference: the consensus the groups
-            # track up to inter-server disagreement.
-            self._reference = np.mean(np.stack(global_models), axis=0)
+        # Next round's shared reference: the consensus the groups track up
+        # to inter-server disagreement.
+        if codec.active:
+            codec.advance(np.mean(np.stack(global_models), axis=0))
 
         record = RoundRecord(
             round_index=t,
@@ -438,12 +335,12 @@ class HierarchicalTrainer:
             upload_bytes=(
                 self.network.stats.bytes_by_tag.get("upload", 0) - bytes_before
             ),
-            upload_retries=int(counters["retries"]),
-            upload_failures=int(counters["failures"]),
+            upload_retries=counters.retries,
+            upload_failures=counters.failures,
             dissemination_messages=config.num_clients,
             simulated_time_s=stage_s,
             deadline_missed=len(late_ids),
-            late_admitted=late_admitted,
+            late_admitted=len(admitted_stale),
         )
         if evaluate:
             record.test_loss, record.test_accuracy = self._evaluate()

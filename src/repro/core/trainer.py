@@ -41,30 +41,31 @@ from ..aggregation import (
 )
 from ..attacks.base import Attack
 from ..attacks.client_attacks import ClientAttack, ClientAttackContext
-from ..common.errors import ConfigurationError, ProtocolError
+from ..common.errors import ConfigurationError
 from ..common.rng import RngFactory
 from ..data.datasets import ArrayDataset
 from ..execution import FilterJob, FilterSpec, WorkerSpec, make_backend
 from ..nn.module import Module
 from ..nn.schedules import LRSchedule
-from ..nn.serialization import from_vector, to_vector
-from ..simulation.clock import VirtualClock, split_by_deadline
+from ..nn.serialization import to_vector
 from ..simulation.faults import FaultInjector
 from ..simulation.network import Message, Network, NodeId
 from ..simulation.scheduler import RoundScheduler
 from .client import Client
-from .codecs import (
-    CodecPipeline,
-    EncodedUpdate,
-    broadcast_variant,
-    make_codec_pipeline,
-)
 from .config import FedMSConfig
 from .filtering import FilterOutcome, quorum_floor, resolve_filter
 from .health import HealthLedger, HealthPolicy
 from .history import RoundRecord, TrainingHistory
 from .server import ByzantineParameterServer, ParameterServer
 from .upload import UploadStrategy, make_upload_strategy
+from .wire import (
+    DeltaCodec,
+    SendCounters,
+    StaleBuffer,
+    make_round_clock,
+    send_with_retry,
+    time_leg,
+)
 
 __all__ = ["FedMSTrainer", "make_fedavg_trainer"]
 
@@ -82,15 +83,9 @@ class _RoundState:
     train_loss: float = float("nan")
     all_aggregates: Optional[np.ndarray] = None
     broadcast_cache: Dict[int, np.ndarray] = field(default_factory=dict)
-    # With codecs active: the wire payload per broadcasting PS (the cache
-    # above then holds its *decoded* round-trip, which is what clients see),
-    # the decode memo for in-process payload -> dense lookups, and the
-    # shared reference this round's payloads were encoded against (workers
-    # decode with it; the live reference advances at the end of the filter
-    # phase).
+    # The wire payload per broadcasting PS; with codecs active the cache
+    # above holds its *decoded* round-trip, which is what clients see.
     broadcast_payloads: Dict[int, object] = field(default_factory=dict)
-    decoded_payloads: Dict[int, "tuple"] = field(default_factory=dict)
-    filter_references: Optional[np.ndarray] = None
     fault_events: List[str] = field(default_factory=list)
     alive_server_ids: List[int] = field(default_factory=list)
     # Alive minus health-excluded: the PSs that take uploads, broadcast
@@ -102,9 +97,7 @@ class _RoundState:
     deadline_missed: int = 0
     late_admitted: int = 0
     simulated_time_s: float = 0.0
-    upload_retries: int = 0
-    upload_failures: int = 0
-    backoff_s: float = 0.0
+    sends: SendCounters = field(default_factory=SendCounters)
     models_received: Dict[int, int] = field(default_factory=dict)
     degraded_clients: List[int] = field(default_factory=list)
     fallback_clients: List[int] = field(default_factory=list)
@@ -247,20 +240,10 @@ class FedMSTrainer:
         # streams and stays bit-identical across execution backends. In
         # barrier mode the clock only *measures* (simulated round time); in
         # deadline mode it decides which broadcasts make the round.
-        self.clock = VirtualClock(
-            config.seed,
-            straggler_rate=config.straggler_rate,
-            straggler_factor=config.straggler_factor,
-        )
-        self._deadline_s: Optional[float] = None
-        if config.deadline_mode:
-            self._deadline_s = (
-                config.deadline_s if config.deadline_s is not None
-                else self.clock.deadline_for_quantile(config.deadline_quantile)
-            )
-        # Broadcasts that missed a round's deadline, buffered for
-        # bounded-staleness admission: server_id -> (origin_round, vector).
-        self._late_broadcasts: Dict[int, "tuple[int, np.ndarray]"] = {}
+        self.clock, self._deadline_s = make_round_clock(config)
+        # Broadcasts that missed a round's deadline, buffered per PS for
+        # bounded-staleness admission.
+        self._late_broadcasts = StaleBuffer()
 
         # Per-PS reputation ledger + circuit breaker (docs/faults.md).
         # Runs entirely in the main process on structured evidence, so it
@@ -276,39 +259,21 @@ class FedMSTrainer:
                                    include_buffers=config.include_buffers)
         self._initial_vector = initial_vector
 
-        # Upload codec pipeline. Every wire leg carries the *delta* against
-        # one shared reference every honest party knows: the previous
-        # round's consensus filter output (w_0 before the first round).
-        # Upload deltas are then pure local-training progress and decoded
+        # Upload codecs. Every wire leg carries the *delta* against one
+        # shared reference every honest party knows: the previous round's
+        # consensus filter output (w_0 before the first round). Upload
+        # deltas are then pure local-training progress and decoded
         # broadcasts agree exactly on every coordinate the codec dropped
         # (they all decode to the reference there), so the coordinate-wise
         # trimmed mean is not skewed by per-PS staleness. Attacks tamper
         # with the pre-encode vector (dissemination encodes the PS's
         # already-tampered output), so colluders gain nothing from the
-        # codec. See docs/upload.md.
-        self.codec: CodecPipeline = make_codec_pipeline(
-            config.resolved_upload_codecs
-        )
-        # The dissemination leg uses the trim-compatible variant: the
-        # coordinate-wise Def() filters need every honest PS to transmit
-        # the *same* support each round (a per-PS top-k makes each fresh
-        # coordinate a minority outlier the trim removes), so magnitude
-        # supports become the shared round-cycling support.
-        self.broadcast_codec: CodecPipeline = broadcast_variant(self.codec)
-        self._codec_active = not self.codec.is_identity
-        self._reference: Optional[np.ndarray] = (
-            np.array(initial_vector) if self._codec_active else None
-        )
-        # Error feedback (EF-SGD, Stich et al. 2018; Karimireddy et al.
-        # 2019) on both legs: each client folds the part of its last upload
-        # the codec truncated into its next upload delta, and each PS does
-        # the same for its broadcast (the double-compression scheme of Tang
-        # et al. 2019), so lossy compression delays information instead of
-        # destroying it. Anything the *filter* declines only leaves the
+        # codec. Clients keep error-feedback residuals on uploads, PSs on
+        # broadcasts; anything the *filter* declines only leaves the
         # reference unchanged — the senders' next deltas still contain it,
-        # an automatic retransmission.
-        self._upload_residuals: Dict[int, np.ndarray] = {}
-        self._broadcast_residuals: Dict[int, np.ndarray] = {}
+        # an automatic retransmission. See docs/upload.md.
+        self.codec = DeltaCodec(config.resolved_upload_codecs,
+                                initial_vector)
 
         self.clients: List[Client] = []
         for k in range(config.num_clients):
@@ -347,7 +312,7 @@ class FedMSTrainer:
                 num_clients=config.num_clients,
                 # Makes the process backend allocate the shared
                 # codec-reference vector workers decode against.
-                codec_references=self._codec_active,
+                codec_references=self.codec.active,
                 model_factory=model_factory,
                 datasets=list(client_datasets),
                 lr_schedule=lr_schedule,
@@ -489,8 +454,8 @@ class FedMSTrainer:
                 stats.messages_by_tag.get("dissemination", 0)
                 - dissemination_before
             ),
-            upload_retries=state.upload_retries,
-            upload_failures=state.upload_failures,
+            upload_retries=state.sends.retries,
+            upload_failures=state.sends.failures,
             cleared_messages=cleared,
             alive_servers=len(state.alive_server_ids),
             models_received=dict(state.models_received),
@@ -592,79 +557,6 @@ class FedMSTrainer:
                 [client.last_train_loss for client in participants]
             ))
 
-    # -- codec plumbing ------------------------------------------------------
-
-    def _encode_for_wire(self, vector: np.ndarray, round_index: int,
-                         state: _RoundState, *,
-                         residual_key: Optional[int] = None) -> object:
-        """Dissemination wire payload for ``vector``: the encoded delta
-        against the shared reference (the dense vector itself with no
-        codec). Uses the trim-compatible broadcast pipeline, salted with
-        the round index so every PS transmits the same cyclic support.
-
-        ``residual_key``, when given, applies and advances the sender PS's
-        broadcast error-feedback residual — only the one-per-round
-        broadcast path may use it (a per-client encode would advance the
-        residual once per receiver). Because encode/decode are
-        deterministic, the receiver-side decode is computed once right
-        here and memoized on the round state, so in-process receive paths
-        never decode twice.
-        """
-        if not self._codec_active:
-            return vector
-        assert self._reference is not None
-        delta = vector - self._reference
-        if residual_key is not None:
-            residual = self._broadcast_residuals.get(residual_key)
-            if residual is not None:
-                delta = delta + residual
-        encoded = self.broadcast_codec.encode(delta, salt=round_index)
-        decoded_delta = encoded.decode()
-        if residual_key is not None:
-            self._broadcast_residuals[residual_key] = delta - decoded_delta
-        state.decoded_payloads[id(encoded)] = (
-            encoded, self._reference + decoded_delta
-        )
-        return encoded
-
-    def _encode_upload(self, vector: np.ndarray, client_id: int,
-                       state: _RoundState
-                       ) -> "tuple[object, Optional[np.ndarray]]":
-        """Encode one client upload; returns ``(payload, residual)``.
-
-        The delta against the shared reference is topped up with the
-        client's accumulated error-feedback residual before encoding. The
-        residual produced here (what this encoding truncated) must only be
-        adopted by the caller once the payload actually delivers — a
-        dropped upload communicates nothing, so the old residual stays.
-        """
-        if not self._codec_active:
-            return vector, None
-        assert self._reference is not None
-        delta = vector - self._reference
-        residual = self._upload_residuals.get(client_id)
-        if residual is not None:
-            delta = delta + residual
-        encoded = self.codec.encode(delta)
-        decoded_delta = encoded.decode()
-        state.decoded_payloads[id(encoded)] = (
-            encoded, self._reference + decoded_delta
-        )
-        return encoded, delta - decoded_delta
-
-    def _payload_vector(self, payload: object,
-                        state: _RoundState) -> np.ndarray:
-        """Dense vector a receiver obtains from a wire payload."""
-        if isinstance(payload, EncodedUpdate):
-            entry = state.decoded_payloads.get(id(payload))
-            if entry is None or entry[0] is not payload:
-                raise ProtocolError(
-                    "encoded payload has no recorded decode; it was not "
-                    "produced by this round's _encode_for_wire"
-                )
-            return entry[1]
-        return payload  # type: ignore[return-value]
-
     def _phase_upload(self, t: int) -> None:
         """Stage 2 (client side): sparse upload with bounded retry.
 
@@ -673,6 +565,13 @@ class FedMSTrainer:
         full ``range(P)`` when nothing is excluded — so with health
         scoring off (or no open breakers) the draws are bit-identical to
         the unpooled assignment.
+
+        The successful send is the only one counted as an upload message
+        (the ``O(K)`` accounting); failed attempts are attributed as drops
+        and the retry attempts as ``retries_by_tag["upload"]``. A payload
+        is encoded once per target — the reference is shared by every PS,
+        so a retry re-sampled onto a different PS resends the same bytes —
+        and the error-feedback residual advances only when it delivers.
         """
         state = self._round
         assert state is not None
@@ -684,54 +583,30 @@ class FedMSTrainer:
             rng=self._assignment_rng,
         )
         for client, targets in zip(state.participants, assignment):
-            vector = state.vectors[client.client_id]
+            client_id = client.client_id
             for index in targets:
-                self._upload_with_retry(
-                    client.client_id, vector, candidates[index], t, state
+                payload, residual = self.codec.encode(
+                    state.vectors[client_id], client_id
                 )
+                if send_with_retry(
+                    self.network,
+                    Message(NodeId.client(client_id),
+                            NodeId.server(candidates[index]), payload,
+                            tag="upload", round_index=t),
+                    self.retry_policy, state.sends,
+                    next_recipient=self._retry_recipient,
+                ):
+                    self.codec.adopt("upload", client_id, residual)
 
-    def _upload_with_retry(self, client_id: int, vector: np.ndarray,
-                           target: int, t: int, state: _RoundState) -> bool:
-        """Send one upload, retrying per the policy on failure.
-
-        The successful send is the only one counted as an upload message
-        (the ``O(K)`` accounting); failed attempts are attributed as drops
-        and the retry attempts as ``retries_by_tag["upload"]``. The payload
-        is encoded once — the reference is shared by every PS, so a retry
-        re-sampled onto a different PS resends the same bytes — and dropped
-        attempts are charged at encoded size too. The error-feedback
-        residual advances only when an attempt delivers.
-        """
-        payload, residual = self._encode_upload(vector, client_id, state)
-        if self.network.send(Message(
-            NodeId.client(client_id), NodeId.server(target), payload,
-            tag="upload", round_index=t,
-        )):
-            if residual is not None:
-                self._upload_residuals[client_id] = residual
-            return True
-        policy = self.retry_policy
-        current = target
-        for attempt in range(1, policy.max_retries + 1):
-            self.network.stats.record_retry("upload")
-            state.upload_retries += 1
-            state.backoff_s += policy.backoff_s(attempt)
-            next_target = policy.next_target(
-                attempt, current, state.admitted_server_ids,
-                rng=self._retry_rng
-            )
-            if next_target is None:
-                break
-            current = next_target
-            if self.network.send(Message(
-                NodeId.client(client_id), NodeId.server(current), payload,
-                tag="upload", round_index=t,
-            )):
-                if residual is not None:
-                    self._upload_residuals[client_id] = residual
-                return True
-        state.upload_failures += 1
-        return False
+    def _retry_recipient(self, attempt: int,
+                         failed: NodeId) -> Optional[NodeId]:
+        """Upload retry target: the same PS, then a re-sampled admitted one."""
+        assert self._round is not None
+        target = self.retry_policy.next_target(
+            attempt, failed.index, self._round.admitted_server_ids,
+            rng=self._retry_rng,
+        )
+        return None if target is None else NodeId.server(target)
 
     def _phase_aggregate(self, t: int) -> None:
         """Stage 2 (server side): honest aggregation on every alive PS.
@@ -754,7 +629,7 @@ class FedMSTrainer:
             # aggregate history freezes until readmission.
             if server.server_id not in admitted:
                 continue
-            uploads = [self._payload_vector(m.payload, state) for m in
+            uploads = [self.codec.decode(m.payload) for m in
                        self.network.receive(NodeId.server(server.server_id))]
             server.aggregate(uploads)
         # The adversary's view (Safeguard/Backward attacks) keeps the full
@@ -786,20 +661,30 @@ class FedMSTrainer:
                 client for client in self.clients
                 if self.fault_injector.client_active(client.client_id)
             ]
-        arrivals = self.clock.arrivals(t, "broadcast",
-                                       sorted(admitted))
-        deadline = self._deadline_s
-        if deadline is not None:
-            _, late_ids = split_by_deadline(arrivals, deadline)
-        else:
-            late_ids = []
-        state.late_server_ids = list(late_ids)
+        late_ids, stage_s = time_leg(self.clock, t, "broadcast",
+                                     sorted(admitted), self._deadline_s)
+        state.late_server_ids = late_ids
         state.deadline_missed = len(late_ids)
-        stage_s = self.clock.stage_seconds(arrivals, deadline_s=deadline)
-        state.simulated_time_s = stage_s + state.backoff_s
+        state.simulated_time_s = stage_s + state.sends.backoff_s
         self.scheduler.record_simulated("disseminate", stage_s)
         late = set(late_ids)
-        self._admit_stale_broadcasts(t, state, admitted, late)
+        # Buffered late broadcasts still within the staleness bound go out
+        # first; senders crashed or excluded this round keep their buffer.
+        stale = self._late_broadcasts.take_admissible(
+            t, self.config.max_staleness, late,
+            absent=set(range(self.config.num_servers)) - admitted,
+        )
+        for server_id, vector in stale.items():
+            payload = self.codec.encode_broadcast(vector, t)
+            for client in self.clients:
+                self.network.send(Message(
+                    NodeId.server(server_id),
+                    NodeId.client(client.client_id),
+                    payload,
+                    tag="dissemination",
+                    round_index=t,
+                ))
+            state.late_admitted += 1
         for client in self.clients:
             for server in self.servers:
                 if server.server_id not in admitted \
@@ -825,48 +710,7 @@ class FedMSTrainer:
                 round_index=t, client_id=None,
                 all_server_aggregates=state.all_aggregates,
             )
-            self._late_broadcasts[server_id] = (t, vector)
-        if self._codec_active:
-            assert self._reference is not None
-            # Workers decoding this round's filter jobs do so against the
-            # reference the payloads were encoded with; the live reference
-            # advances at the end of the filter phase, after these jobs ran.
-            state.filter_references = self._reference
-
-    def _admit_stale_broadcasts(self, t: int, state: _RoundState,
-                                admitted: Set[int], late: Set[int]) -> None:
-        """Deliver buffered late broadcasts still within the staleness bound.
-
-        A buffered broadcast from round ``t0`` is admitted in round ``t``
-        when ``t - t0 <= max_staleness``, its sender is admitted, and the
-        sender has no fresh on-time broadcast this round (fresh supersedes
-        stale — the buffer is simply dropped). Senders currently crashed
-        or excluded keep their buffer until it expires.
-        """
-        if not self._late_broadcasts:
-            return
-        max_staleness = self.config.max_staleness
-        for server_id in sorted(self._late_broadcasts):
-            origin, vector = self._late_broadcasts[server_id]
-            if t - origin > max_staleness:
-                del self._late_broadcasts[server_id]
-                continue
-            if server_id not in admitted:
-                continue
-            if server_id not in late:
-                del self._late_broadcasts[server_id]
-                continue
-            payload = self._encode_for_wire(vector, t, state)
-            for client in self.clients:
-                self.network.send(Message(
-                    NodeId.server(server_id),
-                    NodeId.client(client.client_id),
-                    payload,
-                    tag="dissemination",
-                    round_index=t,
-                ))
-            state.late_admitted += 1
-            del self._late_broadcasts[server_id]
+            self._late_broadcasts.put(server_id, t, vector)
 
     def _phase_filter(self, t: int) -> None:
         """Stage 3 (client side): the Def() filter, quorum-aware.
@@ -884,7 +728,7 @@ class FedMSTrainer:
         backend_jobs: List[FilterJob] = []
         for client in state.active_clients:
             messages = self.network.receive(NodeId.client(client.client_id))
-            received = [self._payload_vector(message.payload, state)
+            received = [self.codec.decode(message.payload)
                         for message in messages]
             quorum = len(received)
             state.models_received[client.client_id] = quorum
@@ -925,49 +769,49 @@ class FedMSTrainer:
                     state.degraded_clients.append(client.client_id)
                     backend_jobs.append((
                         client.client_id,
-                        self._filter_job_payload(messages, state),
+                        self._filter_job_payload(messages, received),
                         FilterSpec("trim_count", count),
                     ))
             elif self._filter_spec is not None:
                 backend_jobs.append((
                     client.client_id,
-                    self._filter_job_payload(messages, state),
+                    self._filter_job_payload(messages, received),
                     self._filter_spec,
                 ))
             else:
                 client.filter_received(received, self.filter_rule)
         if backend_jobs:
+            # Workers decode encoded payloads against the reference they
+            # were encoded with; it advances only after these jobs ran.
             results = self.execution.filter_clients(
-                backend_jobs, references=state.filter_references
+                backend_jobs, references=self.codec.reference
             )
             for client_id, vector in results.items():
                 client = self.clients[client_id]
                 client.set_model_vector(vector)
                 client.optimizer.reset_state()
-        if self._codec_active:
+        if self.codec.active:
             # Advance the shared reference to the consensus the filter just
             # produced. Client 0's post-filter model is that consensus on
             # the healthy path (all clients coincide); on degraded rounds
             # any single choice works — the next deltas carry each party's
             # offset from it, so nothing is lost, only re-sent.
-            self._reference = np.array(self.clients[0].model_vector())
+            self.codec.advance(self.clients[0].model_vector())
 
     def _filter_job_payload(self, messages: Sequence[Message],
-                            state: _RoundState) -> object:
+                            received: List[np.ndarray]) -> object:
         """Backend filter-job payload for one client's received models.
 
-        With a codec active the *encoded* updates travel to the workers,
-        which decode them against the shared reference — smaller
-        executor-queue transfers is the point. Otherwise the dense stack
-        is shipped, as before.
+        In-process backends get the dense rows the receiver already
+        decoded (memoised, so a broadcast is decoded once for all its
+        receivers). With a codec active on the process backend, the
+        *encoded* updates cross the executor queue instead — smaller
+        transfers is the point — and workers decode them against the
+        shared reference.
         """
-        if self._codec_active:
-            return [
-                message.payload if isinstance(message.payload, EncodedUpdate)
-                else np.asarray(message.payload)
-                for message in messages
-            ]
-        return np.stack([message.payload for message in messages])
+        if self.codec.active and self.execution.name == "process":
+            return [message.payload for message in messages]
+        return received
 
     def _fall_back(self, client: Client, state: _RoundState) -> None:
         """Restore ``client``'s previous feasible model.
@@ -1003,18 +847,17 @@ class FedMSTrainer:
             )
             # No broadcast residual: a per-receiver encode must not
             # advance per-round sender state once per client.
-            return self._encode_for_wire(model, round_index, state)
+            return self.codec.encode_broadcast(model, round_index)
         server_id = server.server_id
         if server_id not in state.broadcast_cache:
             model = server.disseminate(
                 round_index=round_index, client_id=None,
                 all_server_aggregates=state.all_aggregates,
             )
-            payload = self._encode_for_wire(model, round_index, state,
-                                            residual_key=server_id)
+            payload = self.codec.encode_broadcast(model, round_index,
+                                                  server_id)
             state.broadcast_payloads[server_id] = payload
-            state.broadcast_cache[server_id] = \
-                self._payload_vector(payload, state)
+            state.broadcast_cache[server_id] = self.codec.decode(payload)
         return state.broadcast_payloads[server_id]
 
     def _record_filter_outcome(self, state: _RoundState,

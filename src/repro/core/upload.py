@@ -15,9 +15,8 @@ gracefully instead of silently shrinking every PS's aggregate.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -41,22 +40,6 @@ class RetryPolicy:
     max_retries: int = 2
     base_backoff_s: float = 0.05
     backoff_factor: float = 2.0
-
-    @classmethod
-    def from_config(cls, config) -> "RetryPolicy":
-        """The policy a :class:`~repro.core.config.FedMSConfig` prescribes.
-
-        Accepts either a ``FedMSConfig`` (reads ``resolved_faults``) or a
-        bare ``FaultConfig``; this is the one place the fault knobs are
-        translated into a retry policy, so call sites no longer rebuild it
-        from ad-hoc kwargs.
-        """
-        faults = getattr(config, "resolved_faults", config)
-        return cls(
-            max_retries=faults.max_upload_retries,
-            base_backoff_s=faults.retry_backoff_s,
-            backoff_factor=faults.backoff_factor,
-        )
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
@@ -178,40 +161,17 @@ class MultiUpload(UploadStrategy):
         return num_clients * self.count
 
 
-def make_upload_strategy(config: Union[str, "object"], *,
-                         uploads_per_client: Optional[int] = None
-                         ) -> UploadStrategy:
+def make_upload_strategy(config) -> UploadStrategy:
     """Build an upload strategy from a :class:`FedMSConfig`.
 
-    Pass the config object; the strategy name and ``uploads_per_client``
-    are read from it (duck-typed on the ``upload_strategy`` attribute, so
-    this module stays import-free of ``repro.core.config``).
-
-    The legacy form ``make_upload_strategy("sparse", uploads_per_client=1)``
-    is deprecated: it bypasses the config's eager validation (e.g.
-    ``uploads_per_client <= num_servers``) and will be removed.
+    The strategy name and ``uploads_per_client`` are read from the config
+    (duck-typed on the ``upload_strategy`` attribute, so this module stays
+    import-free of ``repro.core.config``).
     """
-    if isinstance(config, str):
-        warnings.warn(
-            "make_upload_strategy(name, uploads_per_client=...) is "
-            "deprecated; pass a FedMSConfig and set its upload_strategy/"
-            "uploads_per_client fields instead",
-            DeprecationWarning, stacklevel=2,
-        )
-        name = config
-        count = 1 if uploads_per_client is None else uploads_per_client
-    elif hasattr(config, "upload_strategy"):
-        if uploads_per_client is not None:
-            raise ConfigurationError(
-                "uploads_per_client is only accepted with the deprecated "
-                "name form; set FedMSConfig.uploads_per_client instead"
-            )
-        name = config.upload_strategy
-        count = config.uploads_per_client
-    else:
-        raise ConfigurationError(
-            f"expected a FedMSConfig or a strategy name, got {config!r}"
-        )
+    if not hasattr(config, "upload_strategy"):
+        raise ConfigurationError(f"expected a FedMSConfig, got {config!r}")
+    name = config.upload_strategy
+    count = config.uploads_per_client
     if name == "sparse":
         return SparseUpload()
     if name == "full":

@@ -23,15 +23,7 @@ trimmed mean, or an estimating rule (adaptive-beta, loss-based) whose
 
 from __future__ import annotations
 
-from typing import (
-    AbstractSet,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -195,9 +187,6 @@ class TierAggregator:
             np.asarray(initial_model, dtype=np.float64).copy()
         ]
         self.rounds_without_quorum = 0
-        # Child forwards that missed a deadline, buffered for
-        # bounded-staleness admission: child index -> (origin round, vector).
-        self._late_children: Dict[int, Tuple[int, np.ndarray]] = {}
 
     @property
     def is_byzantine(self) -> bool:
@@ -259,45 +248,6 @@ class TierAggregator:
             )
         self._push(outcome.vector)
         return outcome
-
-    def buffer_late(self, child_index: int, round_index: int,
-                    vector: np.ndarray) -> None:
-        """Buffer a child's deadline-missing forward for stale admission.
-
-        The forward happened — it just arrived after this round's
-        deadline. A newer buffer for the same child replaces the old one
-        (only the most recent late forward is ever admissible).
-        """
-        self._late_children[child_index] = (round_index, np.array(vector))
-
-    def take_admissible(self, round_index: int, max_staleness: int, *,
-                        late_children: AbstractSet[int],
-                        absent_children: AbstractSet[int] = frozenset(),
-                        ) -> Dict[int, np.ndarray]:
-        """Pop the buffered forwards admissible in ``round_index``.
-
-        A buffer from round ``t0`` is admitted when
-        ``round_index - t0 <= max_staleness`` and its child is late
-        *again* this round (``late_children``) — a child whose fresh
-        forward made the deadline supersedes its stale buffer, which is
-        discarded, so no child ever contributes two models to one round.
-        Children in ``absent_children`` (crashed, no output this round)
-        keep their buffer until it expires.
-        """
-        admitted: Dict[int, np.ndarray] = {}
-        for child in sorted(self._late_children):
-            origin, vector = self._late_children[child]
-            if round_index - origin > max_staleness:
-                del self._late_children[child]
-                continue
-            if child in absent_children:
-                continue
-            if child not in late_children:
-                del self._late_children[child]
-                continue
-            admitted[child] = vector
-            del self._late_children[child]
-        return admitted
 
     def outgoing(self, round_index: int, *,
                  peer_outputs: Optional[np.ndarray] = None) -> np.ndarray:

@@ -26,7 +26,8 @@ One :class:`PopulationTrainer` round:
 Peak materialized-client state stays ``O(sampled + tiers)`` — asserted by
 ``benchmarks/test_ext_population.py`` at K up to 5000.
 
-Wire-level extensions (see docs/upload.md and docs/faults.md):
+Wire-level extensions, shared with the other trainers through
+:mod:`repro.core.wire` (see docs/upload.md and docs/faults.md):
 ``config.upload_codecs`` compresses the ``tier0_upload`` and
 ``tier<t>_exchange`` legs (deltas against the round's fetched global
 model, with per-sender error feedback); every upload/exchange send
@@ -41,6 +42,7 @@ buffered on the parent and admitted next round within
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -49,20 +51,21 @@ from ..attacks.base import Attack
 from ..common.errors import ConfigurationError
 from ..common.rng import RngFactory
 from ..core.client import Client
-from ..core.codecs import (
-    CodecPipeline,
-    EncodedUpdate,
-    broadcast_variant,
-    make_codec_pipeline,
-)
 from ..core.config import FedMSConfig
 from ..core.filtering import resolve_filter
 from ..core.history import RoundRecord, TrainingHistory
+from ..core.wire import (
+    DeltaCodec,
+    SendCounters,
+    StaleBuffer,
+    make_round_clock,
+    send_with_retry,
+    time_leg,
+)
 from ..data.datasets import ArrayDataset
 from ..nn.module import Module
 from ..nn.schedules import LRSchedule
 from ..nn.serialization import to_vector
-from ..simulation.clock import VirtualClock, split_by_deadline
 from ..simulation.faults import FaultInjector, FaultPlan
 from ..simulation.network import Message, Network, NodeId
 from ..simulation.scheduler import RoundScheduler
@@ -95,8 +98,8 @@ class _RoundState:
 
     __slots__ = ("round_index", "active_ids", "sampled_ids", "churn_events",
                  "fault_events", "results", "tier_outcomes",
-                 "materialized", "retries", "send_failures", "backoff_s",
-                 "deadline_missed", "late_admitted", "simulated_time_s")
+                 "materialized", "sends", "deadline_missed",
+                 "late_admitted", "simulated_time_s")
 
     def __init__(self, round_index: int) -> None:
         self.round_index = round_index
@@ -107,9 +110,7 @@ class _RoundState:
         self.results: Dict[int, "tuple"] = {}
         self.tier_outcomes: Dict[int, Dict[int, TierOutcome]] = {}
         self.materialized = 0
-        self.retries = 0
-        self.send_failures = 0
-        self.backoff_s = 0.0
+        self.sends = SendCounters()
         self.deadline_missed = 0
         self.late_admitted = 0
         self.simulated_time_s = 0.0
@@ -245,39 +246,24 @@ class PopulationTrainer:
 
         # Virtual timing of the tier-exchange legs. Barrier mode only
         # measures (per-round simulated time); deadline mode decides which
-        # child forwards make each parent's round. Draws live on their own
-        # named streams, so they never perturb training randomness.
-        self.clock = VirtualClock(
-            config.seed,
-            straggler_rate=config.straggler_rate,
-            straggler_factor=config.straggler_factor,
-        )
-        self._deadline_s: Optional[float] = None
-        if config.deadline_mode:
-            self._deadline_s = (
-                config.deadline_s if config.deadline_s is not None
-                else self.clock.deadline_for_quantile(config.deadline_quantile)
-            )
+        # child forwards make each parent's round — late forwards are
+        # buffered per parent (keyed by its global index) for
+        # bounded-staleness admission. Draws live on their own named
+        # streams, so they never perturb training randomness.
+        self.clock, self._deadline_s = make_round_clock(config)
+        self._late_forwards: Dict[int, StaleBuffer] = defaultdict(StaleBuffer)
 
         # Upload codecs on the client->edge and tier-exchange legs. Every
         # encoded payload is the delta against the round's fetched global
         # model (the reference all parties honestly share — clients pull it
         # over the reliable model_fetch plane). Exchange legs use the
-        # trim-compatible broadcast variant so sibling forwards stay
+        # trim-compatible broadcast pipeline so sibling forwards stay
         # coordinate-aligned under the parent's trimmed filter. Error
         # feedback: per-client residuals on uploads, per-child residuals
         # (keyed by global index) on exchange forwards, both adopted only
         # when the payload actually delivers.
-        self.codec: CodecPipeline = make_codec_pipeline(
-            config.resolved_upload_codecs
-        )
-        self.exchange_codec: CodecPipeline = broadcast_variant(self.codec)
-        self._codec_active = not self.codec.is_identity
-        self._reference: Optional[np.ndarray] = (
-            np.array(self._global_vector) if self._codec_active else None
-        )
-        self._upload_residuals: Dict[int, np.ndarray] = {}
-        self._forward_residuals: Dict[int, np.ndarray] = {}
+        self.codec = DeltaCodec(config.resolved_upload_codecs,
+                                self._global_vector)
 
         max_sample = max(1, round(config.sample_fraction
                                   * config.population_size))
@@ -362,82 +348,6 @@ class PopulationTrainer:
             self.topology.global_index(tier, index)
         )
 
-    # -- wire helpers --------------------------------------------------------
-
-    def _send_with_retry(self, message: Message, state: _RoundState) -> bool:
-        """Send with the configured retry policy to the same static target.
-
-        The sharded topology is static — a client's edge and a child's
-        parent never change — so unlike the flat trainer's re-sampled
-        upload target, a retry here re-offers the identical message to the
-        same recipient after backoff. Every dropped attempt (first and
-        retries alike) is charged to the leg's tag in ``TrafficStats``
-        (``dropped_bytes_by_tag``, hence ``offered_bytes_total``);
-        exhausting the policy counts one send failure.
-        """
-        if self.network.send(message):
-            return True
-        policy = self.retry_policy
-        for attempt in range(1, policy.max_retries + 1):
-            self.network.stats.record_retry(message.tag)
-            state.retries += 1
-            state.backoff_s += policy.backoff_s(attempt)
-            if self.network.send(message):
-                return True
-        state.send_failures += 1
-        return False
-
-    def _encode_upload(self, vector: np.ndarray, client_id: int
-                       ) -> "tuple[object, Optional[np.ndarray]]":
-        """Encode one client upload; returns ``(payload, residual)``.
-
-        The delta against the round's fetched global model is topped up
-        with the client's accumulated error-feedback residual. The caller
-        adopts the returned residual (what this encoding truncated) only
-        once the payload actually delivers — a dropped upload communicates
-        nothing, so the old residual stays.
-        """
-        if not self._codec_active:
-            return vector, None
-        assert self._reference is not None
-        delta = vector - self._reference
-        residual = self._upload_residuals.get(client_id)
-        if residual is not None:
-            delta = delta + residual
-        encoded = self.codec.encode(delta)
-        return encoded, delta - encoded.decode()
-
-    def _encode_forward(self, vector: np.ndarray, child_gid: int,
-                        round_index: int, *, with_residual: bool = True
-                        ) -> "tuple[object, Optional[np.ndarray]]":
-        """Encode a tier-exchange forward; returns ``(payload, residual)``.
-
-        Uses the trim-compatible broadcast variant salted with the round
-        index so sibling forwards share one coordinate support under the
-        parent's trimmed filter. ``with_residual=False`` is the stale
-        re-send path: a buffered late forward is transmitted verbatim and
-        must not touch the child's live residual.
-        """
-        if not self._codec_active:
-            return vector, None
-        assert self._reference is not None
-        delta = vector - self._reference
-        if with_residual:
-            residual = self._forward_residuals.get(child_gid)
-            if residual is not None:
-                delta = delta + residual
-        encoded = self.exchange_codec.encode(delta, salt=round_index)
-        if not with_residual:
-            return encoded, None
-        return encoded, delta - encoded.decode()
-
-    def _decode_payload(self, payload: object) -> np.ndarray:
-        """Dense vector a receiver reconstructs from a wire payload."""
-        if isinstance(payload, EncodedUpdate):
-            assert self._reference is not None
-            return self._reference + payload.decode()
-        return payload  # type: ignore[return-value]
-
     # -- round phases --------------------------------------------------------
 
     def _begin_round(self, t: int) -> None:
@@ -490,14 +400,13 @@ class PopulationTrainer:
         for cid in state.sampled_ids:
             vector, _ = state.results[cid]
             edge = self.topology.edge_of_client(cid)
-            payload, residual = self._encode_upload(vector, cid)
-            delivered = self._send_with_retry(Message(
+            payload, residual = self.codec.encode(vector, cid)
+            if send_with_retry(self.network, Message(
                 NodeId.client(cid),
                 NodeId.server(self.topology.global_index(0, edge)),
                 payload, tag=UPLOAD_TAG, round_index=t,
-            ), state)
-            if delivered and residual is not None:
-                self._upload_residuals[cid] = residual
+            ), self.retry_policy, state.sends):
+                self.codec.adopt("upload", cid, residual)
 
     def _phase_edge_aggregate(self, t: int) -> None:
         state = self._state
@@ -509,7 +418,7 @@ class PopulationTrainer:
             )
             if not self._aggregator_alive(0, edge.index):
                 continue
-            uploads = [self._decode_payload(m.payload) for m in inbox]
+            uploads = [self.codec.decode(m.payload) for m in inbox]
             senders = [m.sender.index for m in inbox]
             outcomes[edge.index] = edge.combine(uploads, senders)
         state.tier_outcomes[0] = outcomes
@@ -537,67 +446,56 @@ class PopulationTrainer:
             # child's forward is withheld (it would not have arrived) and
             # buffered on its parent for bounded-staleness admission.
             leg = exchange_tag(tier)
-            arrivals = self.clock.arrivals(t, leg, sorted(forwarded))
-            late_ids: "frozenset[int]" = frozenset()
-            if self._deadline_s is not None:
-                _, late = split_by_deadline(arrivals, self._deadline_s)
-                late_ids = frozenset(late)
-                state.deadline_missed += len(late)
-            stage_s = self.clock.stage_seconds(
-                arrivals, deadline_s=self._deadline_s
-            )
+            late, stage_s = time_leg(self.clock, t, leg, sorted(forwarded),
+                                     self._deadline_s)
+            late_ids = frozenset(late)
+            state.deadline_missed += len(late)
             state.simulated_time_s += stage_s
             self.scheduler.record_simulated(leg, stage_s)
             outcomes: Dict[int, TierOutcome] = {}
             base_gid = self.topology.global_index(tier - 1, 0)
             for parent in self.tiers[tier]:
                 children = self.topology.children_of(tier, parent.index)
-                stale = parent.take_admissible(
-                    t, self.config.max_staleness,
-                    late_children=late_ids,
-                    absent_children=frozenset(
-                        c for c in children if c not in forwarded
-                    ),
+                buffer = self._late_forwards[parent.global_index]
+                stale = buffer.take_admissible(
+                    t, self.config.max_staleness, late_ids,
+                    absent=[c for c in children if c not in forwarded],
                 )
                 # Admitted stale forwards go on the wire now — the late
                 # message finally arrives this round — encoded with this
                 # round's salt but without advancing the child's live
                 # residual (the buffered vector is a re-send, not fresh).
-                for child_index in sorted(stale):
-                    payload, _ = self._encode_forward(
-                        stale[child_index], base_gid + child_index, t,
-                        with_residual=False,
-                    )
-                    self._send_with_retry(Message(
+                for child_index, vector in stale.items():
+                    send_with_retry(self.network, Message(
                         NodeId.server(base_gid + child_index),
                         NodeId.server(parent.global_index),
-                        payload, tag=leg, round_index=t,
-                    ), state)
+                        self.codec.encode_broadcast(vector, t),
+                        tag=leg, round_index=t,
+                    ), self.retry_policy, state.sends)
                     state.late_admitted += 1
                 for child_index in children:
                     if child_index not in forwarded:
                         continue
                     if child_index in late_ids:
-                        parent.buffer_late(child_index, t,
-                                           forwarded[child_index])
+                        buffer.put(child_index, t, forwarded[child_index])
                         continue
                     child_gid = base_gid + child_index
-                    payload, residual = self._encode_forward(
-                        forwarded[child_index], child_gid, t
+                    payload, residual = self.codec.encode(
+                        forwarded[child_index], child_gid, table="forward",
+                        salt=t,
                     )
-                    delivered = self._send_with_retry(Message(
+                    if send_with_retry(self.network, Message(
                         NodeId.server(child_gid),
                         NodeId.server(parent.global_index),
                         payload, tag=leg, round_index=t,
-                    ), state)
-                    if delivered and residual is not None:
-                        self._forward_residuals[child_gid] = residual
+                    ), self.retry_policy, state.sends):
+                        self.codec.adopt("forward", child_gid, residual)
                 inbox = self.network.receive(
                     NodeId.server(parent.global_index)
                 )
                 if not self._aggregator_alive(tier, parent.index):
                     continue
-                vectors = [self._decode_payload(m.payload) for m in inbox]
+                vectors = [self.codec.decode(m.payload) for m in inbox]
                 children_ids = [m.sender.index - base_gid for m in inbox]
                 outcomes[parent.index] = parent.combine(
                     vectors, children_ids, info_fn=self._filter.info_fn,
@@ -605,11 +503,10 @@ class PopulationTrainer:
             state.tier_outcomes[tier] = outcomes
         top = self.tiers[-1][0]
         self._global_vector = top.current_output.copy()
-        if self._codec_active:
-            # Next round's shared reference is the new global model —
-            # clients fetch it at check-in, edges and parents track it
-            # here, so every leg's deltas stay mutually decodable.
-            self._reference = np.array(self._global_vector)
+        # Next round's shared reference is the new global model — clients
+        # fetch it at check-in, edges and parents track it here, so every
+        # leg's deltas stay mutually decodable.
+        self.codec.advance(self._global_vector)
 
     def _phase_finalize(self, t: int) -> None:
         state = self._state
@@ -668,8 +565,8 @@ class PopulationTrainer:
             - self._uploads_before[1],
             dissemination_messages=stats.messages_by_tag.get(FETCH_TAG, 0)
             - self._uploads_before[2],
-            upload_retries=state.retries,
-            upload_failures=state.send_failures,
+            upload_retries=state.sends.retries,
+            upload_failures=state.sends.failures,
             alive_servers=alive,
             simulated_time_s=state.simulated_time_s,
             deadline_missed=state.deadline_missed,

@@ -191,16 +191,6 @@ class TestRetryPolicyUnification:
                              num_byzantine=0, retry_policy=policy)
         assert config.resolved_retry_policy == policy
 
-    def test_divergent_legacy_kwargs_warn(self):
-        from repro.core import FaultConfig
-
-        with pytest.warns(DeprecationWarning):
-            FedMSConfig(
-                num_clients=4, num_servers=3, num_byzantine=0,
-                retry_policy=RetryPolicy(max_retries=5),
-                faults=FaultConfig(max_upload_retries=1),
-            )
-
     def test_consistent_kwargs_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -9,6 +9,7 @@ from repro.common import ConfigurationError, RngFactory
 from repro.core import FedMSConfig, FedMSTrainer, HierarchicalTrainer
 from repro.data import ArrayDataset, iid_partition
 from repro.models import SoftmaxRegression
+from repro.simulation.network import Network
 
 
 def make_blobs(n=300, num_classes=3, dim=6, seed=0):
@@ -23,7 +24,7 @@ def make_blobs(n=300, num_classes=3, dim=6, seed=0):
 
 def make_trainer(num_byzantine=0, attack=None, seed=0, groups=None,
                  inter_server_rule=None, num_clients=10, num_servers=5,
-                 **config_kwargs):
+                 network=None, **config_kwargs):
     data = make_blobs(seed=seed)
     test = make_blobs(n=120, seed=seed + 1)
     parts = iid_partition(data, num_clients, rng=RngFactory(seed).make("p"))
@@ -41,6 +42,7 @@ def make_trainer(num_byzantine=0, attack=None, seed=0, groups=None,
         attack=attack,
         group_of_client=groups,
         inter_server_rule=inter_server_rule,
+        network=network,
     )
 
 
@@ -186,7 +188,7 @@ class TestIgnoredConfigWarning:
         with warnings_module.catch_warnings():
             warnings_module.simplefilter("error")
             trainer = self._construct(upload_codecs=["topk(0.1)", "int8"])
-        assert trainer._codec_active
+        assert trainer.codec.active
         trainer.run_round(evaluate=False)
         stats = trainer.network.stats
         dense = self._construct()
@@ -231,3 +233,32 @@ class TestDeadlineMode:
         history = make_trainer(seed=1, aggregation_mode="deadline",
                                straggler_rate=0.2).run(12, eval_every=12)
         assert history.final_accuracy > 0.8
+
+
+class TestLossyWire:
+    def test_dropped_exchange_messages_are_not_combined(self):
+        network = Network(drop_rule=lambda m: m.tag == "inter_server")
+        trainer = make_trainer(network=network)
+        trainer.run_round(evaluate=False)
+        stats = network.stats
+        assert stats.messages_by_tag.get("inter_server", 0) == 0
+        assert stats.dropped_by_tag["inter_server"] > 0
+        # No peer contribution arrived, so each PS's global model is its
+        # own group aggregate, which its members adopt.
+        for client, group in zip(trainer.clients, trainer.group_of_client):
+            np.testing.assert_array_equal(
+                client.model_vector(),
+                trainer.servers[group].current_aggregate,
+            )
+
+    def test_upload_residual_adopted_only_on_delivery(self):
+        network = Network(
+            drop_rule=lambda m: m.tag == "upload" and m.sender.index == 3
+        )
+        trainer = make_trainer(network=network,
+                               upload_codecs=["topk(0.1)"])
+        trainer.run(2, eval_every=10)
+        assert network.stats.dropped_by_tag["upload"] > 0
+        residuals = trainer.codec.residuals["upload"]
+        assert 3 not in residuals
+        assert set(residuals) == set(range(10)) - {3}

@@ -85,12 +85,13 @@ class TestByteAccounting:
 class TestBroadcastPipeline:
     def test_derived_from_upload_chain_with_ratio_floor(self):
         trainer = make_trainer(["topk(0.05)", "int8"])
-        assert trainer.codec.specs == ("topk(0.05)", "int8")
-        assert trainer.broadcast_codec.specs == ("cyclic(0.25)", "int8")
+        assert trainer.codec.pipeline.specs == ("topk(0.05)", "int8")
+        assert trainer.codec.broadcast_pipeline.specs == ("cyclic(0.25)",
+                                                          "int8")
 
     def test_identity_chain_stays_identity(self):
         trainer = make_trainer([])
-        assert trainer.broadcast_codec.is_identity
+        assert trainer.codec.broadcast_pipeline.is_identity
 
 
 class TestTrajectory:

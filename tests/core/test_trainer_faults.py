@@ -71,26 +71,19 @@ class TestFaultConfig:
     def test_defaults(self):
         faults = FaultConfig()
         assert faults.round_deadline_s == 1.0
-        assert faults.max_upload_retries == 2
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             FaultConfig(round_deadline_s=0.0)
-        with pytest.raises(ConfigurationError):
-            FaultConfig(max_upload_retries=-1)
-        with pytest.raises(ConfigurationError):
-            FaultConfig(retry_backoff_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            FaultConfig(backoff_factor=0.9)
 
     def test_resolved_faults_defaults_when_unset(self):
         assert FedMSConfig().resolved_faults == FaultConfig()
-        custom = FaultConfig(max_upload_retries=5)
+        custom = FaultConfig(round_deadline_s=5.0)
         assert FedMSConfig(faults=custom).resolved_faults is custom
 
     def test_rejects_wrong_type(self):
         with pytest.raises(ConfigurationError):
-            FedMSConfig(faults={"max_upload_retries": 5})
+            FedMSConfig(faults={"round_deadline_s": 5.0})
 
 
 class TestInjectorWiring:

@@ -14,7 +14,6 @@ from repro.core import (
     SparseUpload,
     make_upload_strategy,
 )
-from repro.core.config import FaultConfig
 
 
 class TestSparseUpload:
@@ -94,18 +93,6 @@ class TestFactory:
         with pytest.raises(ConfigurationError):
             _config(upload_strategy="smoke_signals")
 
-    def test_legacy_name_form_is_deprecated(self):
-        with pytest.warns(DeprecationWarning):
-            strategy = make_upload_strategy("sparse")
-        assert isinstance(strategy, SparseUpload)
-        with pytest.warns(DeprecationWarning):
-            multi = make_upload_strategy("multi", uploads_per_client=3)
-        assert multi.count == 3
-
-    def test_config_form_rejects_stray_kwarg(self):
-        with pytest.raises(ConfigurationError):
-            make_upload_strategy(_config(), uploads_per_client=2)
-
     def test_rejects_non_config_argument(self):
         with pytest.raises(ConfigurationError):
             make_upload_strategy(42)
@@ -170,16 +157,3 @@ class TestRetryPolicy:
             RetryPolicy(base_backoff_s=-0.1)
         with pytest.raises(ConfigurationError):
             RetryPolicy(backoff_factor=0.5)
-
-    def test_from_fedms_config(self):
-        config = _config(faults=FaultConfig(
-            max_upload_retries=5, retry_backoff_s=0.25, backoff_factor=3.0,
-        ))
-        policy = RetryPolicy.from_config(config)
-        assert policy.max_retries == 5
-        assert policy.base_backoff_s == pytest.approx(0.25)
-        assert policy.backoff_factor == pytest.approx(3.0)
-
-    def test_from_bare_fault_config(self):
-        policy = RetryPolicy.from_config(FaultConfig(max_upload_retries=7))
-        assert policy.max_retries == 7

@@ -17,7 +17,6 @@ from repro.population import (
     make_blob_population,
     make_blob_test_dataset,
 )
-from repro.population.tiers import TierAggregator
 from repro.population.trainer import UPLOAD_TAG, exchange_tag
 from repro.simulation.faults import FaultPlan, ServerCrash
 
@@ -175,48 +174,3 @@ class TestTierDeadlines:
             vec, trace = run(backend)
             assert np.array_equal(serial_vec, vec), backend
             assert serial_trace == trace, backend
-
-
-class TestTierAggregatorBuffer:
-    def make_aggregator(self):
-        return TierAggregator(1, 0, global_index=6, trim_budget=0,
-                              expected_children=3,
-                              initial_model=np.zeros(4))
-
-    def test_no_double_vote(self):
-        agg = self.make_aggregator()
-        agg.buffer_late(0, 0, np.ones(4))
-        # Child 0 made the deadline in round 1: the stale buffer is
-        # superseded and discarded, not admitted.
-        admitted = agg.take_admissible(1, 1, late_children=frozenset())
-        assert admitted == {}
-        assert agg.take_admissible(1, 5,
-                                   late_children=frozenset({0})) == {}
-
-    def test_admitted_when_late_again(self):
-        agg = self.make_aggregator()
-        agg.buffer_late(0, 0, np.ones(4))
-        admitted = agg.take_admissible(1, 1,
-                                       late_children=frozenset({0}))
-        assert set(admitted) == {0}
-        np.testing.assert_array_equal(admitted[0], np.ones(4))
-
-    def test_staleness_expiry(self):
-        agg = self.make_aggregator()
-        agg.buffer_late(0, 0, np.ones(4))
-        admitted = agg.take_admissible(3, 1,
-                                       late_children=frozenset({0}))
-        assert admitted == {}
-
-    def test_absent_child_keeps_buffer(self):
-        agg = self.make_aggregator()
-        agg.buffer_late(0, 1, np.ones(4))
-        admitted = agg.take_admissible(
-            2, 5, late_children=frozenset({0}),
-            absent_children=frozenset({0}),
-        )
-        assert admitted == {}
-        # Next round the child is back and late: the buffer delivers.
-        admitted = agg.take_admissible(3, 5,
-                                       late_children=frozenset({0}))
-        assert set(admitted) == {0}
